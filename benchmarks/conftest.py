@@ -22,6 +22,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.benchgate import BENCH_OUT_ENV  # noqa: E402
 from repro.experiments import figures_netsize, figures_rangesize  # noqa: E402
 from repro.experiments.common import ExperimentConfig  # noqa: E402
 
@@ -46,6 +47,21 @@ def bench_config() -> ExperimentConfig:
 @pytest.fixture(scope="session")
 def config() -> ExperimentConfig:
     return bench_config()
+
+
+@pytest.fixture(scope="session")
+def bench_out(tmp_path_factory) -> str:
+    """Directory the ``BENCH_*.json`` artifacts are written to.
+
+    ``repro bench`` sets ``$REPRO_BENCH_OUT`` to ``benchmarks/`` to
+    regenerate the committed baselines; otherwise a per-session temporary
+    directory, so running the tests never rewrites them.
+    """
+    directory = os.environ.get(BENCH_OUT_ENV)
+    if not directory:
+        return str(tmp_path_factory.mktemp("bench"))
+    os.makedirs(directory, exist_ok=True)
+    return directory
 
 
 @pytest.fixture(scope="session")

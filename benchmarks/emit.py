@@ -1,9 +1,11 @@
 """Machine-readable benchmark output.
 
 Benchmarks that want their numbers tracked across PRs call
-:func:`write_bench_json` with a flat metrics dictionary; the file lands as
-``BENCH_<name>.json`` next to this module (i.e. under ``benchmarks/``) so the
-perf trajectory of the repository can be diffed commit to commit.
+:func:`write_bench_json` with a flat metrics dictionary and the session's
+``bench_out`` directory.  ``repro bench`` points that directory at
+``benchmarks/`` so the committed ``BENCH_<name>.json`` baselines are
+regenerated (and the perf trajectory can be diffed commit to commit); a
+plain test run writes to a temporary directory and leaves them untouched.
 
 Every artifact is stamped with the environment it was measured in
 (python version, platform, ``cpu_count``, git SHA, timestamp) via the
@@ -17,15 +19,15 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.envinfo import environment_stamp
 
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-def write_bench_json(name: str, metrics: Dict[str, float], directory: Optional[str] = None) -> str:
-    """Write ``BENCH_<name>.json`` and return its path.
+def write_bench_json(name: str, metrics: Dict[str, float], directory: str) -> str:
+    """Write ``BENCH_<name>.json`` into ``directory`` and return its path.
 
     The payload carries the metrics plus enough environment context
     (python version, platform, cpu_count, git SHA, timestamp) to interpret
@@ -47,7 +49,7 @@ def write_bench_json(name: str, metrics: Dict[str, float], directory: Optional[s
             for key, value in metrics.items()
         },
     }
-    path = os.path.join(directory if directory is not None else _BENCH_DIR, f"BENCH_{name}.json")
+    path = os.path.join(directory, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

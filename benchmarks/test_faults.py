@@ -3,7 +3,7 @@
 Runs the paper's failed-fraction grid (resilient PIRA vs the seed
 protocol) at benchmark size, checks the curve has the expected shape —
 resilient success stays high where the basic protocol degrades — and
-writes the numbers to ``benchmarks/BENCH_faults.json`` so the resilience
+writes the numbers to ``BENCH_faults.json`` so the resilience
 trajectory of the repository is tracked from this PR onward.
 """
 
@@ -29,7 +29,7 @@ def _spec() -> FaultSweepSpec:
     )
 
 
-def test_faults_robustness_curve(benchmark):
+def test_faults_robustness_curve(benchmark, bench_out):
     spec = _spec()
 
     start = time.perf_counter()
@@ -79,7 +79,7 @@ def test_faults_robustness_curve(benchmark):
         "latency_p95_resilient": resilient["latency_p95"],
         "latency_p95_basic": basic["latency_p95"],
     }
-    path = write_bench_json("faults", metrics)
+    path = write_bench_json("faults", metrics, bench_out)
 
     emit(
         "Robustness-under-failure benchmark",

@@ -11,7 +11,7 @@ converge on the deaths, and the live resilient success ratio — scored
 against surviving-peer ground truth, exactly like the simulated sweep —
 must land within 0.10 of the committed sim figure at the same failed
 fraction (``BENCH_faults.json``, ``success_ratio_resilient``).
-``benchmarks/BENCH_livefaults.json`` records the run for the bench gate.
+``BENCH_livefaults.json`` records the run for the bench gate.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _sim_success_ratio() -> float:
         return float(json.load(handle)["metrics"]["success_ratio_resilient"])
 
 
-def test_livefaults_serving_under_churn(benchmark):
+def test_livefaults_serving_under_churn(benchmark, bench_out):
     spec = LiveFaultsSpec()  # 32 peers, fraction 0.2, seed 1
 
     start = time.perf_counter()
@@ -66,7 +66,7 @@ def test_livefaults_serving_under_churn(benchmark):
     metrics = dict(result.bench_metrics())
     metrics["sim_success_ratio"] = sim_ratio
     metrics["sim_gap"] = result.success_ratio - sim_ratio
-    path = write_bench_json("livefaults", metrics)
+    path = write_bench_json("livefaults", metrics, bench_out)
 
     emit(
         "Serving-under-churn benchmark",

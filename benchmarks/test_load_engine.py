@@ -3,7 +3,7 @@
 Measures how fast the engine pushes overlapping in-flight queries through
 the discrete-event simulator — events/sec and queries/sec of wall-clock
 time, plus the simulated p95 sojourn latency — and writes the numbers to
-``benchmarks/BENCH_load.json`` so the perf trajectory is tracked from this
+``BENCH_load.json`` so the perf trajectory is tracked from this
 PR onward.
 """
 
@@ -47,7 +47,7 @@ def _make_jobs(system: ArmadaSystem):
     ]
 
 
-def test_concurrent_engine_throughput(benchmark):
+def test_concurrent_engine_throughput(benchmark, bench_out):
     system = _build_system()
     jobs = _make_jobs(system)
 
@@ -79,7 +79,7 @@ def test_concurrent_engine_throughput(benchmark):
         "delay_p95": report.delay_percentiles["p95"],
         "messages": report.messages,
     }
-    path = write_bench_json("load", metrics)
+    path = write_bench_json("load", metrics, bench_out)
 
     emit(
         "Concurrent load engine benchmark",

@@ -9,7 +9,7 @@ connection — the PR-4 baseline), over multiplexed protocol v2 with JSON
 frame bodies (a pooled :class:`~repro.api.LiveSession`, many requests in
 flight per connection), and over v2 with the negotiated **binary** frame
 bodies (:mod:`repro.runtime.binframe`).
-``benchmarks/BENCH_runtime.json`` records all three throughputs side by
+``BENCH_runtime.json`` records all three throughputs side by
 side — the before/after of the API-redesign PR plus the binary-hot-path
 one.
 
@@ -118,7 +118,7 @@ def measure_recorder_overhead(rounds: int = 5, max_rounds: int = 8) -> dict:
     }
 
 
-def test_live_soak_throughput(benchmark):
+def test_live_soak_throughput(benchmark, bench_out):
     started = time.perf_counter()
     before = run_soak(make_spec(protocol=1))  # the PR-4 baseline dialect
     after = run_soak(make_spec(protocol=2))  # multiplexed + pooled, JSON
@@ -169,7 +169,7 @@ def test_live_soak_throughput(benchmark):
         else 0.0
     )
     metrics.update(recorder)
-    path = write_bench_json("runtime", metrics)
+    path = write_bench_json("runtime", metrics, bench_out)
     emit(
         "Live runtime soak benchmark (protocol v1 vs v2-JSON vs v2-binary)",
         after.format()

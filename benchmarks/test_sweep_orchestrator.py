@@ -3,7 +3,7 @@
 Runs the same sweep grid twice — in-process (the serial reference) and on a
 4-worker process pool — asserts the merged records are **identical**, and
 writes both wall-clock times plus the parallel speedup to
-``benchmarks/BENCH_sweep.json``.
+``BENCH_sweep.json``.
 
 The speedup is recorded, not asserted: it is a property of the host
 (``cpu_count`` is recorded alongside so the number can be interpreted — on
@@ -42,7 +42,7 @@ def _spec() -> SweepSpec:
     )
 
 
-def test_sweep_orchestrator_parallel_equals_serial(benchmark, tmp_path):
+def test_sweep_orchestrator_parallel_equals_serial(benchmark, bench_out, tmp_path):
     spec = _spec()
 
     start = time.perf_counter()
@@ -86,7 +86,7 @@ def test_sweep_orchestrator_parallel_equals_serial(benchmark, tmp_path):
         "speedup_asserted": int(speedup_asserted),
         "records_identical": 1,
     }
-    path = write_bench_json("sweep", metrics)
+    path = write_bench_json("sweep", metrics, bench_out)
 
     emit(
         "Sweep orchestrator benchmark",

@@ -37,6 +37,11 @@ from repro.envinfo import environment_stamp
 #: relative drop that fails the gate (0.25 = a >25% regression)
 DEFAULT_THRESHOLD = 0.25
 
+#: environment variable naming the directory the benchmark suite writes its
+#: ``BENCH_*.json`` files to; unset, the suite writes to a temporary
+#: directory so a plain test run never rewrites the committed baselines
+BENCH_OUT_ENV = "REPRO_BENCH_OUT"
+
 #: gated metrics per benchmark artifact, all higher-is-better.
 #: "rate" = wall-clock throughput (cpu_count-aware), "ratio" = machine-independent.
 GATED_METRICS: Dict[str, Dict[str, str]] = {
@@ -229,8 +234,9 @@ def append_history(
 
 
 def run_suite(repo_root: str, bench_dir: str = "benchmarks") -> int:
-    """Run the benchmark suite (regenerates the ``BENCH_*.json`` files)."""
+    """Run the benchmark suite, regenerating the ``BENCH_*.json`` files in ``bench_dir``."""
     env = dict(os.environ)
+    env[BENCH_OUT_ENV] = os.path.abspath(os.path.join(repo_root, bench_dir))
     src = os.path.join(repo_root, "src")
     if os.path.isdir(src):
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

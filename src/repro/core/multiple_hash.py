@@ -145,17 +145,33 @@ class MultiAttributeNamer:
             )
         if not self._space.contains(values):
             raise NamingError(f"values {tuple(values)} outside the attribute space")
+        # Allocation-free descent, as in PartitionTree.label_for_value: the
+        # per-level float expressions are exactly those of Interval.locate /
+        # Interval.child, so the label is bit-identical to descending through
+        # Box/Interval objects, without building one Box per level.
+        base = self._base
+        dimensions = self.dimensions
+        lows = [interval.low for interval in self._space.intervals]
+        highs = [interval.high for interval in self._space.intervals]
         label: List[str] = []
-        box = self._space
         previous = None
         for depth in range(self._length):
-            choices = ks.allowed_symbols(previous, base=self._base)
-            attribute = depth % self.dimensions
-            interval = box.intervals[attribute]
-            position = interval.locate(values[attribute], len(choices))
+            choices = ks.allowed_symbols_tuple(previous, base=base)
+            pieces = len(choices)
+            attribute = depth % dimensions
+            value = values[attribute]
+            low = lows[attribute]
+            step = (highs[attribute] - low) / pieces
+            position = pieces - 1
+            for index in range(pieces - 1):
+                if value < low + step * (index + 1):
+                    position = index
+                    break
             symbol = choices[position]
             label.append(symbol)
-            box = box.replace(attribute, interval.child(position, len(choices)))
+            if position != pieces - 1:
+                highs[attribute] = low + step * (position + 1)
+            lows[attribute] = low + step * position
             previous = symbol
         return "".join(label)
 

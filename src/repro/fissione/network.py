@@ -75,7 +75,10 @@ class FissioneNetwork:
         self._out_cache: Dict[str, Tuple[str, ...]] = {}
         self._in_cache: Dict[str, Tuple[str, ...]] = {}
         self._owner_cache: Dict[str, str] = {}
-        self._max_len: Optional[int] = None
+        # Histogram of PeerID lengths (index = length), kept in step with
+        # ``_sorted_ids`` so the maximum never needs a rescan of every id.
+        self._length_counts: List[int] = [0] * (object_id_length + 1)
+        self._max_len = 0
 
     # ------------------------------------------------------------------ #
     # construction                                                         #
@@ -170,13 +173,10 @@ class FissioneNetwork:
     def max_id_length(self) -> int:
         """Maximum PeerID length (paper: ``< 2 log2 N``).
 
-        Cached between membership changes; ownership resolution truncates
-        lookup keys to this length on every routing hop.
+        Maintained incrementally by every membership change (a histogram of
+        PeerID lengths); ownership resolution truncates lookup keys to this
+        length on every routing hop.
         """
-        if self._max_len is None:
-            self._max_len = (
-                max(len(peer_id) for peer_id in self._sorted_ids) if self._sorted_ids else 0
-            )
         return self._max_len
 
     def log_size(self) -> float:
@@ -238,16 +238,16 @@ class FissioneNetwork:
 
     def peers_with_prefix(self, prefix: str) -> List[str]:
         """All PeerIDs extending ``prefix`` (possibly empty), sorted."""
+        ids = self._sorted_ids
         if prefix == "":
-            return list(self._sorted_ids)
-        start = bisect.bisect_left(self._sorted_ids, prefix)
-        result: List[str] = []
-        for peer_id in self._sorted_ids[start:]:
-            if peer_id.startswith(prefix):
-                result.append(peer_id)
-            else:
-                break
-        return result
+            return list(ids)
+        # The extensions of ``prefix`` form one contiguous run starting at
+        # its insertion point: only that run is scanned and copied.
+        start = end = bisect.bisect_left(ids, prefix)
+        count = len(ids)
+        while end < count and ids[end].startswith(prefix):
+            end += 1
+        return ids[start:end]
 
     def compatible_peers(self, prefix: str) -> List[str]:
         """PeerIDs compatible with ``prefix``: extend it or are a prefix of it."""
@@ -589,7 +589,6 @@ class FissioneNetwork:
             self._in_cache.clear()
         if self._owner_cache:
             self._owner_cache.clear()
-        self._max_len = None
 
     def _add_peer(self, peer: FissionePeer) -> None:
         if peer.peer_id in self._peers:
@@ -597,6 +596,10 @@ class FissioneNetwork:
         ks.validate_kautz_string(peer.peer_id, base=self.base)
         self._peers[peer.peer_id] = peer
         bisect.insort(self._sorted_ids, peer.peer_id)
+        length = len(peer.peer_id)
+        self._length_counts[length] += 1
+        if length > self._max_len:
+            self._max_len = length
         self._invalidate_topology_caches()
 
     def _remove_peer(self, peer_id: str) -> FissionePeer:
@@ -606,6 +609,10 @@ class FissioneNetwork:
         index = bisect.bisect_left(self._sorted_ids, peer_id)
         if index < len(self._sorted_ids) and self._sorted_ids[index] == peer_id:
             self._sorted_ids.pop(index)
+        counts = self._length_counts
+        counts[len(peer_id)] -= 1
+        while self._max_len and not counts[self._max_len]:
+            self._max_len -= 1
         self._invalidate_topology_caches()
         return peer
 

@@ -239,14 +239,12 @@ def rank(value: str, base: int = 2) -> int:
     ``unrank(rank(s)) == s`` and consecutive ranks are consecutive strings.
     """
     validate_kautz_string(value, base=base)
-    length = len(value)
+    # Mixed radix, most significant symbol first: the first symbol has
+    # ``base + 1`` choices, every later one ``base`` (Horner evaluation).
     index = 0
     previous: Optional[str] = None
-    for position, char in enumerate(value):
-        choices = _allowed_symbols_memo(previous, base)
-        char_index = choices.index(char)
-        remaining = length - position - 1
-        index += char_index * (base ** remaining)
+    for char in value:
+        index = index * base + _allowed_symbols_memo(previous, base).index(char)
         previous = char
     return index
 
@@ -256,17 +254,19 @@ def unrank(index: int, length: int, base: int = 2) -> str:
     total = space_size(base, length)
     if not 0 <= index < total:
         raise KautzStringError(f"index {index} out of range for KautzSpace({base},{length})")
+    # Peel the mixed-radix digits from the least significant end: symbols
+    # 1..length-1 are digits in radix ``base``, and what remains is the
+    # first symbol's digit (radix ``base + 1``).
+    digits = [0] * length
+    remaining = index
+    for position in range(length - 1, 0, -1):
+        remaining, digits[position] = divmod(remaining, base)
+    digits[0] = remaining
     result: List[str] = []
     previous: Optional[str] = None
-    remaining_index = index
-    for position in range(length):
-        choices = _allowed_symbols_memo(previous, base)
-        block = base ** (length - position - 1)
-        choice_index = remaining_index // block
-        remaining_index -= choice_index * block
-        char = choices[choice_index]
-        result.append(char)
-        previous = char
+    for digit in digits:
+        previous = _allowed_symbols_memo(previous, base)[digit]
+        result.append(previous)
     return intern_label("".join(result))
 
 

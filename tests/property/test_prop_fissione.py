@@ -56,3 +56,41 @@ class TestTopologyProperties:
         path = route(network, source, object_id)
         assert path.destination == network.owner_id(object_id)
         assert path.hops <= len(source)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(min_value=0, max_value=500),
+        st.lists(st.sampled_from(["join", "leave"]), min_size=1, max_size=40),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=0)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_incremental_lookups_match_brute_force(self, seed, operations, probes):
+        """Maintained max length and prefix scans agree with full rescans."""
+        rng = DeterministicRNG(seed)
+        network = FissioneNetwork.build(12, rng.substream("topology"), object_id_length=20)
+        for index, operation in enumerate(operations):
+            if operation == "join":
+                network.join(rng=rng.substream("join", index))
+            elif network.size > network.base + 1:
+                victim = network.random_peer(rng.substream("leave", index)).peer_id
+                network.leave(victim)
+            assert network.max_id_length() == max(map(len, network.peer_ids()))
+        peer_ids = network.peer_ids()
+        prefixes = [""] + [
+            ks.unrank(draw % ks.space_size(2, length), length) if length else ""
+            for length, draw in probes
+        ]
+        # Prefixes of real PeerIDs hit the non-empty runs of the sorted list.
+        prefixes += [peer_id[: len(peer_id) // 2] for peer_id in peer_ids[::4]]
+        for prefix in prefixes:
+            assert network.peers_with_prefix(prefix) == [
+                peer_id for peer_id in peer_ids if peer_id.startswith(prefix)
+            ]
+            assert network.compatible_peers(prefix) == [
+                peer_id
+                for peer_id in peer_ids
+                if peer_id.startswith(prefix) or prefix.startswith(peer_id)
+            ]

@@ -35,6 +35,40 @@ def kautz_prefixes(max_length=8, base=2):
     return build()
 
 
+def reference_rank(value, base=2):
+    """Positional rank: symbol index times the block size of its position."""
+    index = 0
+    previous = None
+    for position, char in enumerate(value):
+        choices = ks.allowed_symbols(previous, base=base)
+        index += choices.index(char) * base ** (len(value) - position - 1)
+        previous = char
+    return index
+
+
+def reference_unrank(index, length, base=2):
+    """Positional unrank: divide by the block size of each position in turn."""
+    result = []
+    previous = None
+    for position in range(length):
+        choices = ks.allowed_symbols(previous, base=base)
+        block = base ** (length - position - 1)
+        choice_index = index // block
+        index -= choice_index * block
+        previous = choices[choice_index]
+        result.append(previous)
+    return "".join(result)
+
+
+@st.composite
+def ranked_strings(draw, max_length=100):
+    """``(base, length, index)`` spanning bases 2-4 and long ObjectIDs."""
+    base = draw(st.integers(min_value=2, max_value=4))
+    length = draw(st.integers(min_value=1, max_value=max_length))
+    index = draw(st.integers(min_value=0, max_value=ks.space_size(base, length) - 1))
+    return base, length, index
+
+
 class TestStringProperties:
     @given(kautz_strings())
     def test_generated_strings_are_valid(self, value):
@@ -43,6 +77,13 @@ class TestStringProperties:
     @given(kautz_strings(min_length=3, max_length=8))
     def test_rank_unrank_roundtrip(self, value):
         assert ks.unrank(ks.rank(value), len(value)) == value
+
+    @given(ranked_strings())
+    def test_unrank_matches_positional_reference(self, case):
+        base, length, index = case
+        value = ks.unrank(index, length, base=base)
+        assert value == reference_unrank(index, length, base=base)
+        assert ks.rank(value, base=base) == reference_rank(value, base=base) == index
 
     @given(kautz_prefixes(max_length=6), st.integers(min_value=6, max_value=10))
     def test_extensions_are_valid_and_ordered(self, prefix, length):

@@ -56,7 +56,48 @@ class TestSingleHashProperties:
             assert not (low <= value <= high)
 
 
+DEEP_NAMERS = (
+    MultiAttributeNamer(intervals=((0.0, 1000.0), (0.0, 1000.0)), length=100),
+    MultiAttributeNamer(intervals=((0.0, 1.0), (-5.0, 5.0), (0.0, 1e6)), length=64, base=3),
+)
+
+
+def reference_name(namer, point):
+    """``Multiple_hash`` as a descent through Box/Interval objects."""
+    box = namer.space
+    previous = None
+    label = []
+    for depth in range(namer.length):
+        choices = ks.allowed_symbols(previous, base=namer.base)
+        attribute = depth % namer.dimensions
+        interval = box.intervals[attribute]
+        position = interval.locate(point[attribute], len(choices))
+        previous = choices[position]
+        label.append(previous)
+        box = box.replace(attribute, interval.child(position, len(choices)))
+    return "".join(label)
+
+
+@st.composite
+def deep_points(draw):
+    """A namer and a point in its space, often on a subdivision boundary."""
+    namer = draw(st.sampled_from(DEEP_NAMERS))
+    point = []
+    for interval in namer.space.intervals:
+        grid = draw(st.sampled_from([2, 3, 64, 3 ** 5, 2 ** 20]))
+        on_grid = interval.low + interval.width * draw(st.integers(0, grid)) / grid
+        anywhere = draw(st.floats(interval.low, interval.high, allow_nan=False))
+        point.append(draw(st.sampled_from([on_grid, anywhere])))
+    return namer, point
+
+
 class TestMultipleHashProperties:
+    @settings(max_examples=300)
+    @given(deep_points())
+    def test_name_matches_box_descent(self, case):
+        namer, point = case
+        assert namer.name(point) == reference_name(namer, point)
+
     @given(coords)
     def test_names_are_valid_kautz_strings(self, point):
         object_id = MULTI.name(point)

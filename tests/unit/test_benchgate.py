@@ -12,8 +12,11 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
 
+import repro.benchgate as benchgate
 from repro.benchgate import (
+    BENCH_OUT_ENV,
     DEFAULT_THRESHOLD,
     append_history,
     compare,
@@ -164,6 +167,37 @@ class TestRunGate:
         assert record["cpu_count"] == CPUS
         assert record["benchmarks"]["load"]["events_per_sec"] == 100.0
         assert "timestamp" in record and "python" in record
+
+    def test_suite_run_writes_into_the_bench_dir(self, tmp_path, monkeypatch):
+        """The gate points the suite's ``BENCH_*.json`` output at
+        ``bench_dir`` and gates what the suite wrote there."""
+        seen = {}
+        real_run = subprocess.run
+
+        def fake_suite(command, **kwargs):
+            if "pytest" not in command:
+                return real_run(command, **kwargs)  # the environment stamp's git calls
+            seen["out"] = kwargs["env"][BENCH_OUT_ENV]
+            write_bench(seen["out"], "load", {"events_per_sec": 1000.0})
+            return subprocess.CompletedProcess(command, 0)
+
+        monkeypatch.setattr(benchgate.subprocess, "run", fake_suite)
+        bench_dir = tmp_path / "current"
+        bench_dir.mkdir()
+        baseline_dir = tmp_path / "baseline"
+        baseline_dir.mkdir()
+        write_bench(str(baseline_dir), "load", {"events_per_sec": 1000.0})
+        out = io.StringIO()
+        code = run_gate(
+            repo_root=str(tmp_path),
+            bench_dir=str(bench_dir),
+            baseline_dir=str(baseline_dir),
+            check=True,
+            out=out,
+        )
+        assert code == 0
+        assert seen["out"] == str(bench_dir)
+        assert "load" in read_bench_dir(str(bench_dir))
 
     def test_cli_wrapper_fails_on_injected_regression(self, tmp_path):
         """End to end through the actual CLI entry point: ``repro bench

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.fissione.network import FissioneError, FissioneNetwork
@@ -60,6 +62,28 @@ class TestCoverInvariants:
         network = build(40)
         for peer_id in network.peer_ids():
             assert ks.is_kautz_string(peer_id, base=2)
+
+
+class TestTopologyFingerprint:
+    """Seeded builds must keep producing the exact same topology.
+
+    The simulator, the live bootstrap and flight-recorder replay all replay
+    the same join sequence, so any change to how joins draw their target
+    keys or pick the zone to split shows up here first.
+    """
+
+    @pytest.mark.parametrize(
+        "num_peers, seed, object_id_length, digest, max_length",
+        [
+            (4000, 1, 32, "7bcaba2f520e2871", 13),
+            (2000, 7, 100, "41e43972f4023916", 12),
+        ],
+    )
+    def test_seeded_build_is_pinned(self, num_peers, seed, object_id_length, digest, max_length):
+        network = build(num_peers, seed=seed, object_id_length=object_id_length)
+        peer_ids = "\n".join(network.peer_ids())
+        assert hashlib.sha256(peer_ids.encode()).hexdigest()[:16] == digest
+        assert network.max_id_length() == max_length
 
 
 class TestOwnership:
