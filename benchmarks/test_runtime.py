@@ -8,7 +8,7 @@ clusters**: over the deprecated v1 line protocol (one FIFO request per
 connection — the PR-4 baseline), over multiplexed protocol v2 with JSON
 frame bodies (a pooled :class:`~repro.api.LiveSession`, many requests in
 flight per connection), and over v2 with the negotiated **binary** frame
-bodies (:mod:`repro.runtime.binframe`).
+bodies (:mod:`repro.binframe`).
 ``BENCH_runtime.json`` records all three throughputs side by
 side — the before/after of the API-redesign PR plus the binary-hot-path
 one.

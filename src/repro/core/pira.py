@@ -46,10 +46,7 @@ from repro.core.transport import Transport
 from repro.faults.resilience import ResilienceStats
 from repro.fissione.network import FissioneNetwork
 from repro.fissione.peer import FissionePeer, StoredObject
-# The memoised pruning predicate is called directly (hoisting the region's
-# endpoint reads out of the per-neighbour loop); same verdicts as
-# KautzRegion.contains_prefix.
-from repro.kautz.region import KautzRegion, _contains_prefix_memo
+from repro.kautz.region import KautzRegion
 from repro.sim.network import OverlayNetwork
 
 
@@ -334,22 +331,25 @@ class PiraExecutor(ResumableExecutor):
             self._handle_destination(peer, hop, subquery, state)
             return
 
-        # Inlined ``descendant_prefix(neighbor_id, level + 1, dest_level)``:
-        # ``drop`` is non-negative here (level < dest_level), so the hot loop
-        # tests a bare suffix slice per neighbour.  This loop runs once per
-        # (peer, level) occurrence of every in-flight query.
-        #
+        # Inlined ``region.contains_prefix(descendant_prefix(neighbor_id,
+        # level + 1, dest_level))``: ``drop`` is non-negative here
+        # (level < dest_level), and the slice ``[drop:drop + k]`` is the
+        # descendant prefix cut to the region length ``k``, so the test is
+        # the region's two prefix comparisons.  PeerIDs are validated when
+        # a peer joins, so the per-call validation is skipped.  This loop
+        # runs once per (peer, level) occurrence of every in-flight query.
         next_level = level + 1
         next_hop = hop + 1
         drop = subquery.dest_level - next_level
         region = subquery.region
-        low, high, rbase = region.low, region.high, region.base
-        contains = _contains_prefix_memo
+        low, high = region.low, region.high
+        stop = drop + len(low)
         forward = self._forward_message
         for neighbor_id in self._out_view(peer_id):
-            if not contains(low, high, rbase, neighbor_id[drop:]):
-                continue
-            forward(peer_id, neighbor_id, next_level, next_hop, branch_index, state)
+            head = neighbor_id[drop:stop]
+            width = len(head)
+            if low[:width] <= head <= high[:width]:
+                forward(peer_id, neighbor_id, next_level, next_hop, branch_index, state)
 
     def _handle_destination(
         self,
@@ -359,9 +359,13 @@ class PiraExecutor(ResumableExecutor):
         state: _QueryState,
     ) -> None:
         """Destination-level processing: record the peer and filter its store."""
+        # ``region.contains_prefix(peer_id)`` without re-validating the
+        # PeerID (see ``_process``).
         region = subquery.region
         peer_id = peer.peer_id
-        if not _contains_prefix_memo(region.low, region.high, region.base, peer_id):
+        head = peer_id[: len(region.low)]
+        width = len(head)
+        if not region.low[:width] <= head <= region.high[:width]:
             return
         result = state.result
         previous = result.destinations.get(peer_id)

@@ -17,7 +17,7 @@ connection, replies out of order; **1** replays the deprecated line
 protocol (one FIFO connection per worker) so a before/after throughput
 comparison runs on otherwise identical code paths.  Under v2,
 ``encoding="binary"`` additionally negotiates the compact binary frame
-bodies (:mod:`repro.runtime.binframe`) for the high-volume frames, which
+bodies (:mod:`repro.binframe`) for the high-volume frames, which
 is how ``BENCH_runtime.json`` gets its three-way v1 / v2-JSON / v2-binary
 comparison.
 

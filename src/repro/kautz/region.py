@@ -4,37 +4,16 @@ The Kautz region ``<low, high>`` is the set of length-``k`` Kautz strings
 ``s`` with ``low <= s <= high`` in lexicographic order.  Armada's
 ``Single_hash`` maps an attribute-value range onto exactly such a region, and
 PIRA's pruning test is "does the region contain a string with prefix ``p``?",
-which this module answers with an interval-intersection check on the
-lexicographically minimal / maximal extensions of ``p``.
+which this module answers with two prefix comparisons against the region's
+endpoints (see :meth:`KautzRegion.contains_prefix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from repro.kautz import strings as ks
-
-
-@lru_cache(maxsize=1 << 17)
-def _contains_prefix_memo(low: str, high: str, base: int, prefix: str) -> bool:
-    """Memoised core of :meth:`KautzRegion.contains_prefix`.
-
-    Keyed by the region's endpoints rather than the region object so that
-    the many equal-but-distinct :class:`KautzRegion` instances produced per
-    query share one cache line per (region, prefix) pair.  Prefix validation
-    happens inside the memo: a cache hit costs a single lookup, and invalid
-    prefixes still raise every time (``lru_cache`` does not cache raises).
-    """
-    ks.validate_kautz_string(prefix, base=base, allow_empty=True)
-    length = len(low)
-    if len(prefix) > length:
-        head = prefix[:length]
-        return ks.is_kautz_string(head, base=base) and low <= head <= high
-    lowest = ks.min_extension(prefix, length, base=base)
-    highest = ks.max_extension(prefix, length, base=base)
-    return lowest <= high and highest >= low
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,14 +66,20 @@ class KautzRegion:
     def contains_prefix(self, prefix: str) -> bool:
         """True when some string of the region has ``prefix`` as a prefix.
 
-        This is PIRA's forwarding predicate, evaluated once per
-        (neighbour, sub-region) pair on every hop of every in-flight query,
-        so the verdict is memoised across queries.  It holds exactly when
-        the interval of strings extending ``prefix`` intersects
-        ``[low, high]``: the smallest extension must not exceed ``high``
-        and the largest extension must not fall below ``low``.
+        A prefix longer than the region's strings asks whether its first
+        ``length`` symbols are a member.  This is PIRA's forwarding
+        predicate, answered exactly by two prefix comparisons: with
+        ``m = min(len(prefix), length)``, a valid ``prefix`` is extended by a
+        member iff ``low[:m] <= prefix[:m] <= high[:m]``.  Truncating
+        equal-length strings preserves their order, which gives "only if";
+        for "if", ``low`` (or ``high``) is a member when its head equals
+        ``prefix[:m]``, and otherwise every extension lies strictly between
+        the endpoints.
         """
-        return _contains_prefix_memo(self.low, self.high, self.base, prefix)
+        ks.validate_kautz_string(prefix, base=self.base, allow_empty=True)
+        head = prefix[: len(self.low)]
+        width = len(head)
+        return self.low[:width] <= head <= self.high[:width]
 
     def intersect_prefix_count(self, prefix: str) -> int:
         """Number of strings in the region that extend ``prefix``."""
@@ -114,14 +99,7 @@ class KautzRegion:
         region is split into at most ``base + 1`` sub-regions -- one per first
         symbol -- each of which trivially has a non-empty common prefix.  The
         paper notes at most three sub-regions are needed for base 2.
-
-        The split runs once per started query, so (like the pruning
-        predicate) it is memoised across equal regions.
         """
-        return list(_split_memo(self.low, self.high, self.base))
-
-    def _split_uncached(self) -> List["KautzRegion"]:
-        """The actual split behind :func:`_split_memo`."""
         if self.common_prefix():
             return [self]
         subregions: List[KautzRegion] = []
@@ -147,10 +125,3 @@ class KautzRegion:
 
     def __repr__(self) -> str:
         return f"KautzRegion(low={self.low!r}, high={self.high!r}, base={self.base})"
-
-
-@lru_cache(maxsize=1 << 14)
-def _split_memo(low: str, high: str, base: int) -> Tuple["KautzRegion", ...]:
-    """Memoised :meth:`KautzRegion.split_by_first_symbol` (regions are frozen,
-    so the shared sub-region instances are safe to hand out repeatedly)."""
-    return tuple(KautzRegion(low=low, high=high, base=base)._split_uncached())

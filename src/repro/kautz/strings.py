@@ -172,8 +172,8 @@ def allowed_symbols_tuple(previous: Optional[str], base: int = 2) -> Tuple[str, 
 def min_extension(prefix: str, length: int, base: int = 2) -> str:
     """Lexicographically smallest length-``length`` Kautz string with ``prefix``.
 
-    Memoised: PIRA evaluates the same (peer-id prefix, region length)
-    extensions on every forwarding hop.
+    Memoised: a query start whose region spans several first symbols asks
+    for the same one-symbol extensions of the ObjectID length every time.
 
     >>> min_extension("02", 4)
     '0201'

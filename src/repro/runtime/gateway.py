@@ -31,7 +31,7 @@ request with ``"options":{"stream":true}``  ``{"type":"chunk","rid":N,"peer":..,
 
 The ``hello`` frame may also carry ``"encoding": "binary"`` to switch the
 high-volume frames (``request``/``reply``/``chunk``/``batch``) to the
-compact binary bodies of :mod:`repro.runtime.binframe`; the ``welcome``
+compact binary bodies of :mod:`repro.binframe`; the ``welcome``
 echoes the negotiated encoding.  Control frames (``hello``/``welcome``/
 ``error``/``quit``) stay JSON on every connection, an unknown encoding in
 the hello gets a fatal structured error, and a binary body on a

@@ -29,7 +29,7 @@ import itertools
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.runtime.binframe import (
+from repro.binframe import (
     BINARY_MAGIC,
     BinaryCodecError,
     decode_binary,
@@ -43,7 +43,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: frame-body encodings a v2 connection can negotiate.  ``"json"`` is the
 #: default (and the only encoding old clients know); ``"binary"`` switches
 #: the high-volume frames (``request``/``reply``/``chunk``/``batch``) to
-#: the compact codec in :mod:`repro.runtime.binframe`.  Control frames
+#: the compact codec in :mod:`repro.binframe`.  Control frames
 #: (``hello``/``welcome``/``error``/``quit``) are *always* JSON so the
 #: handshake and every failure stay debuggable with a hex dump.
 ENCODING_JSON = "json"

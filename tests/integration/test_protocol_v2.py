@@ -301,7 +301,7 @@ class TestEncodingNegotiation:
                 prefix = await reader.readexactly(4)
                 body = await reader.readexactly(int.from_bytes(prefix, "big"))
                 assert body[0] == 0xC1
-                from repro.runtime.binframe import decode_binary
+                from repro.binframe import decode_binary
 
                 reply = decode_binary(body)
                 assert reply["type"] == "reply"

@@ -1,7 +1,7 @@
 """Property tests: binary frame bodies are JSON-equivalent, bit for bit.
 
 Satellite of the binary-hot-path PR.  The negotiated binary encoding
-(:mod:`repro.runtime.binframe`) promises *exactly* the JSON value space:
+(:mod:`repro.binframe`) promises *exactly* the JSON value space:
 for every encodable value ``x``,
 
     ``decode_binary(encode_binary(x)) == json.loads(json.dumps(x))``
@@ -21,7 +21,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.binframe import decode_binary, encode_binary
+from repro.binframe import decode_binary, encode_binary
 from repro.runtime.protocol import decode_frame, encode_frame, encode_frame_binary
 from repro.wire import decode_value, encode_value
 

@@ -69,6 +69,47 @@ def ranked_strings(draw, max_length=100):
     return base, length, index
 
 
+def extension_contains_prefix(region, prefix):
+    """Reference for :meth:`KautzRegion.contains_prefix` from the extensions.
+
+    The region's strings extending ``prefix`` run from its minimal to its
+    maximal extension; a prefix longer than the region asks whether its
+    head is a member.
+    """
+    if len(prefix) > region.length:
+        return region.low <= prefix[: region.length] <= region.high
+    lowest = ks.min_extension(prefix, region.length, base=region.base)
+    highest = ks.max_extension(prefix, region.length, base=region.base)
+    return lowest <= region.high and highest >= region.low
+
+
+@st.composite
+def regions_and_prefixes(draw):
+    """A region of length up to 32 and a prefix to test on it.
+
+    Besides random prefixes (up to 8 symbols longer than the region) and
+    the empty prefix, the prefix can branch off one of the endpoints: a
+    head of the endpoint, continued by random symbols, so the boundary
+    cases ``prefix == low[:m]`` and ``prefix == high[:m]`` come up often.
+    """
+    base = draw(st.integers(min_value=2, max_value=3))
+    length = draw(st.integers(min_value=1, max_value=32))
+    first = draw(kautz_strings(min_length=length, max_length=length, base=base))
+    second = draw(kautz_strings(min_length=length, max_length=length, base=base))
+    region = KautzRegion(min(first, second), max(first, second), base=base)
+    source = draw(st.sampled_from(("empty", "random", "low", "high")))
+    if source == "empty":
+        return region, ""
+    if source == "random":
+        return region, draw(kautz_prefixes(max_length=length + 8, base=base))
+    endpoint = region.low if source == "low" else region.high
+    prefix = endpoint[: draw(st.integers(min_value=0, max_value=length))]
+    for _ in range(draw(st.integers(min_value=0, max_value=length + 8 - len(prefix)))):
+        previous = prefix[-1] if prefix else None
+        prefix += draw(st.sampled_from(ks.allowed_symbols(previous, base=base)))
+    return region, prefix
+
+
 class TestStringProperties:
     @given(kautz_strings())
     def test_generated_strings_are_valid(self, value):
@@ -146,6 +187,12 @@ class TestRegionProperties:
         region = KautzRegion(min(first, second), max(first, second))
         expected = any(member.startswith(prefix) for member in region)
         assert region.contains_prefix(prefix) == expected
+
+    @settings(max_examples=300)
+    @given(regions_and_prefixes())
+    def test_contains_prefix_agrees_with_extensions(self, case):
+        region, prefix = case
+        assert region.contains_prefix(prefix) == extension_contains_prefix(region, prefix)
 
     @given(
         st.integers(min_value=0, max_value=10 ** 6),

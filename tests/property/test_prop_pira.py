@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.armada import ArmadaSystem
+from repro.kautz import strings as ks
 from repro.sim.rng import DeterministicRNG
 
 _SYSTEM_CACHE = {}
@@ -28,6 +29,24 @@ def get_system(seed: int) -> ArmadaSystem:
         system.prop_values = values  # type: ignore[attr-defined]
         _SYSTEM_CACHE[seed] = system
     return _SYSTEM_CACHE[seed]
+
+
+def reference_destinations(system: ArmadaSystem, low: float, high: float) -> set:
+    """Peers whose zone meets the query region, from the extension interval.
+
+    A peer's zone is the interval of ObjectIDs extending its PeerID, from
+    the minimal to the maximal extension; it meets ``[LowT, HighT]`` when
+    neither end lies beyond the other's.  Built only on ``min_extension``
+    and ``max_extension``, not on the region's own pruning predicate.
+    """
+    region = system.single_namer.region_for_range(low, high)
+    length, base = region.length, region.base
+    return {
+        peer_id
+        for peer_id in system.network.peer_ids()
+        if ks.min_extension(peer_id, length, base=base) <= region.high
+        and ks.max_extension(peer_id, length, base=base) >= region.low
+    }
 
 
 query_bounds = st.tuples(
@@ -52,7 +71,7 @@ class TestPiraProperties:
         system = get_system(topology_seed)
         low, high = min(bounds), max(bounds)
         result = system.range_query(low, high)
-        assert set(result.destinations) == system.pira.ground_truth_destinations(low, high)
+        assert set(result.destinations) == reference_destinations(system, low, high)
 
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(min_value=0, max_value=3), query_bounds)

@@ -83,6 +83,12 @@ class TestContainsPrefix:
         assert region.contains_prefix("01201")  # its first 4 symbols are in the region
         assert not region.contains_prefix("02101")
 
+    def test_invalid_prefix_raises(self):
+        region = KautzRegion("0120", "0202")
+        for prefix in ("00", "3", "01200"):  # the last has a valid head
+            with pytest.raises(ks.KautzStringError):
+                region.contains_prefix(prefix)
+
     def test_contains_prefix_matches_enumeration(self):
         region = KautzRegion("01210", "02021")
         members = set(region)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -158,3 +160,34 @@ class TestStandaloneExecutor:
         result = executor.execute(origin, 2.0, 7.0)
         assert sorted(result.matching_values()) == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         assert set(result.destinations) == executor.ground_truth_destinations(2.0, 7.0)
+
+
+class TestForwardingPin:
+    """A seeded query mix must keep forwarding exactly as it does now.
+
+    Digests every query's message count, destinations with their hops,
+    forwarding steps and matches, so any change to the pruning rule or to
+    the order in which peers forward shows up here first.
+    """
+
+    def test_seeded_queries_are_pinned(self):
+        system = ArmadaSystem(num_peers=2000, seed=3, attribute_interval=(0.0, 1000.0))
+        rng = DeterministicRNG(5).substream("pin")
+        system.insert_many([rng.uniform(0, 1000) for _ in range(2000)])
+        peer_ids = sorted(system.network.peer_ids())
+        digest = hashlib.sha256()
+        messages = 0
+        for _ in range(300):
+            low = rng.uniform(0, 1000)
+            high = min(1000, low + rng.uniform(0, 50))
+            result = system.pira.execute(rng.choice(peer_ids), low, high)
+            messages += result.messages
+            record = [
+                result.messages,
+                sorted(result.destinations.items()),
+                result.forwarding_steps,
+                sorted(result.matching_values()),
+            ]
+            digest.update(json.dumps(record).encode())
+        assert digest.hexdigest()[:16] == "7424776bdd938eb2"
+        assert messages == 33027
